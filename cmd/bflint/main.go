@@ -2,7 +2,9 @@
 // mechanical form of the determinism, conservation, and facade
 // contracts (see internal/lint).
 //
-// Standalone mode loads packages from source:
+// Standalone mode type-checks the named packages from source and takes
+// the types of everything they import from the compiler's export data
+// (internal/lint/load):
 //
 //	go run ./cmd/bflint ./...
 //
@@ -194,7 +196,8 @@ const (
 	outSARIF
 )
 
-// runStandalone loads the patterns from source and lints each package.
+// runStandalone loads the patterns and lints each package, in the order
+// `go list` prints them.
 func runStandalone(patterns []string, mode outputMode) int {
 	ld := load.New()
 	pkgs, err := ld.Load(patterns...)

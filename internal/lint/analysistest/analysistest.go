@@ -48,8 +48,8 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 }
 
 // fixtureImporter resolves import paths against the fixture tree first
-// and falls back to the surrounding loader (source importer) for the
-// standard library.
+// and falls back to the surrounding loader, which reads the standard
+// library from export data.
 type fixtureImporter struct {
 	testdata string
 	loader   *load.Loader

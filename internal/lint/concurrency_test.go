@@ -25,30 +25,8 @@ var concurrencyAnalyzers = map[string]bool{
 // sweepfarm's journal) are the real fixtures here: a regression that
 // drops a lock or adds a joinless goroutine fails this test.
 func TestConcurrencyAnalyzersCleanOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-repo type-check skipped in -short mode")
-	}
-	pkgs, err := load.New().Load("bfvlsi/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var findings []string
-	for _, p := range pkgs {
-		if len(lint.AnalyzersFor(p.Path)) == 0 {
-			continue
-		}
-		diags, err := lint.Run(p.Path, p.Fset, p.Files, p.Types, p.Info)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Path, err)
-		}
-		for _, d := range diags {
-			if concurrencyAnalyzers[d.Category] {
-				findings = append(findings, p.Fset.Position(d.Pos).String()+": "+d.Message+" ("+d.Category+")")
-			}
-		}
-	}
-	if len(findings) > 0 {
-		t.Errorf("concurrency analyzers are not clean on the repository:\n%s", strings.Join(findings, "\n"))
+	if report := lintRepo(t).report(concurrencyAnalyzers); report != "" {
+		t.Errorf("concurrency analyzers are not clean on the repository:\n%s", report)
 	}
 }
 

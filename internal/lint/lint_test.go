@@ -16,37 +16,48 @@ import (
 // violation that needs fixing or an analyzer false positive that needs
 // narrowing — both are failures of this PR, not of the code under test.
 func TestSuiteCleanOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-repo type-check skipped in -short mode")
+	r := lintRepo(t)
+	if r.loaded < 10 {
+		t.Fatalf("loaded only %d packages; expected the full module", r.loaded)
 	}
-	pkgs, err := load.New().Load("bfvlsi/...")
-	if err != nil {
-		t.Fatal(err)
+	if r.checked < 5 {
+		t.Fatalf("only %d packages had analyzers bound; binding table looks broken", r.checked)
 	}
-	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages; expected the full module", len(pkgs))
+	if report := r.report(nil); report != "" {
+		t.Errorf("bflint is not clean on the repository:\n%s", report)
 	}
-	checked := 0
-	var report strings.Builder
-	for _, p := range pkgs {
-		if len(lint.AnalyzersFor(p.Path)) == 0 {
-			continue
+}
+
+// TestDetrandCatchesWallClockSeed mixes the wall clock into the real
+// simulator's seed and asserts detrand flags the time.Now call: a run
+// would no longer be a function of (params, seed).
+func TestDetrandCatchesWallClockSeed(t *testing.T) {
+	pkg := loadMutated(t, "bfvlsi/internal/routing", "../routing", "sim.go",
+		"\t\"math/rand\"\n", "\t\"math/rand\"\n\t\"time\"\n",
+		"detrng.New(p.Seed)", "detrng.New(p.Seed ^ time.Now().UnixNano())")
+	msgs := runMutated(t, pkg, "detrand")
+	for _, m := range msgs {
+		if strings.Contains(m, "time.Now") && strings.Contains(m, "wall clock") {
+			return
 		}
-		checked++
-		diags, err := lint.Run(p.Path, p.Fset, p.Files, p.Types, p.Info)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Path, err)
+	}
+	t.Errorf("detrand did not flag the wall-clock seed; got %q", msgs)
+}
+
+// TestHotallocCatchesLoopMake allocates a scratch buffer inside the
+// real VC simulator's //bflint:hotpath link-traversal loop and asserts
+// hotalloc flags the make.
+func TestHotallocCatchesLoopMake(t *testing.T) {
+	const loop = "//bflint:hotpath\n\t\tfor row := 0; row < rows; row++ {\n"
+	pkg := loadMutated(t, "bfvlsi/internal/routing", "../routing", "vc.go",
+		loop, loop+"\t\t\tscratch := make([]int, n)\n\t\t\t_ = scratch\n")
+	msgs := runMutated(t, pkg, "hotalloc")
+	for _, m := range msgs {
+		if strings.Contains(m, "make inside hot-path loop") {
+			return
 		}
-		for _, d := range diags {
-			fmt.Fprintf(&report, "%s: %s (%s)\n", p.Fset.Position(d.Pos), d.Message, d.Category)
-		}
 	}
-	if checked < 5 {
-		t.Fatalf("only %d packages had analyzers bound; binding table looks broken", checked)
-	}
-	if report.Len() > 0 {
-		t.Errorf("bflint is not clean on the repository:\n%s", report.String())
-	}
+	t.Errorf("hotalloc did not flag the make in the hot-path loop; got %q", msgs)
 }
 
 // The escape hatch must actually work: a //bflint:ignore comment on

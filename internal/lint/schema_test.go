@@ -1,15 +1,8 @@
 package lint_test
 
 import (
-	"go/ast"
-	"go/parser"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"bfvlsi/internal/lint"
-	"bfvlsi/internal/lint/load"
 )
 
 // schemaAnalyzers are the v4 serialization-contract analyzers this file
@@ -24,105 +17,15 @@ var schemaAnalyzers = map[string]bool{
 // and decoded, every checkpoint field is captured and restored, and the
 // committed schema.lock matches the code.
 func TestSchemaAnalyzersCleanOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-repo type-check skipped in -short mode")
+	if report := lintRepo(t).report(schemaAnalyzers); report != "" {
+		t.Errorf("schema analyzers are not clean on the repository:\n%s", report)
 	}
-	pkgs, err := load.New().Load("bfvlsi/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var findings []string
-	for _, p := range pkgs {
-		if len(lint.AnalyzersFor(p.Path)) == 0 {
-			continue
-		}
-		diags, err := lint.Run(p.Path, p.Fset, p.Files, p.Types, p.Info)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Path, err)
-		}
-		for _, d := range diags {
-			if schemaAnalyzers[d.Category] {
-				findings = append(findings, p.Fset.Position(d.Pos).String()+": "+d.Message+" ("+d.Category+")")
-			}
-		}
-	}
-	if len(findings) > 0 {
-		t.Errorf("schema analyzers are not clean on the repository:\n%s", strings.Join(findings, "\n"))
-	}
-}
-
-// loadMutated parses every non-test file of the package under dir,
-// applying old→new to the named file, and type-checks the result. File
-// names keep their directory so schemalock resolves the same
-// schema.lock the real package uses.
-func loadMutated(t *testing.T, pkgPath, dir, mutateFile, old, new string) *load.Package {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := load.New()
-	var files []*ast.File
-	applied := false
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := string(src)
-		if name == mutateFile {
-			text = strings.Replace(text, old, new, 1)
-			if text == string(src) {
-				t.Fatalf("mutation did not apply; %s no longer contains:\n%s", mutateFile, old)
-			}
-			applied = true
-		}
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), text, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	if !applied {
-		t.Fatalf("mutation target %s not found in %s", mutateFile, dir)
-	}
-	pkg, err := l.CheckFiles(pkgPath, "", files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
-}
-
-// runMutated lints the mutated package and returns the diagnostics of
-// one analyzer. Sibling analyzers may legitimately fire on the same
-// mutation (adding a field trips wirecover as well as schemalock), so
-// unexpected categories are not errors here.
-func runMutated(t *testing.T, pkg *load.Package, category string) []string {
-	t.Helper()
-	diags, err := lint.Run(pkg.Path, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var msgs []string
-	for _, d := range diags {
-		if d.Category == category {
-			msgs = append(msgs, d.Message)
-		}
-	}
-	return msgs
 }
 
 // TestWirecoverCatchesDroppedEncode deletes the FaultSpec.LinkRate
 // encode line from the real wire package and asserts wirecover reports
 // the field as never read on the marshal side.
 func TestWirecoverCatchesDroppedEncode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package type-check skipped in -short mode")
-	}
 	pkg := loadMutated(t, "bfvlsi/internal/wire", "../wire", "fault.go",
 		"\te.float64(s.LinkRate)\n", "")
 	msgs := runMutated(t, pkg, "wirecover")
@@ -137,9 +40,6 @@ func TestWirecoverCatchesDroppedEncode(t *testing.T) {
 // TestSchemalockCatchesFieldAddition adds a FaultSpec field without
 // bumping VersionFaultSpec and asserts schemalock demands the bump.
 func TestSchemalockCatchesFieldAddition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package type-check skipped in -short mode")
-	}
 	pkg := loadMutated(t, "bfvlsi/internal/wire", "../wire", "fault.go",
 		"\tLinkRate float64\n", "\tLinkRate float64\n\tAddedRate float64\n")
 	msgs := runMutated(t, pkg, "schemalock")
@@ -155,9 +55,6 @@ func TestSchemalockCatchesFieldAddition(t *testing.T) {
 // assignment from the real adaptive router and asserts statecover
 // reports the field as never read on the restore side.
 func TestStatecoverCatchesDroppedRestore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package type-check skipped in -short mode")
-	}
 	pkg := loadMutated(t, "bfvlsi/internal/adaptive", "../adaptive", "state.go",
 		"\tr.haveMap = st.HaveMap\n", "")
 	msgs := runMutated(t, pkg, "statecover")
