@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"bfvlsi/internal/experiments"
@@ -20,36 +22,53 @@ import (
 
 var quick = flag.Bool("quick", false, "shrink slow sweeps for a fast smoke run")
 
+// errNoMatch reports experiment names that select nothing.
+var errNoMatch = errors.New("no experiment matched")
+
 func main() {
 	flag.Parse()
-	want := flag.Args()
+	if err := run(os.Stdout, *quick, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errNoMatch) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run writes the selected experiments (all of them when names is
+// empty) to w, in order.
+func run(w io.Writer, quick bool, names []string) error {
 	selected := func(name string) bool {
-		if len(want) == 0 {
+		if len(names) == 0 {
 			return true
 		}
-		for _, w := range want {
-			if w == name {
+		for _, n := range names {
+			if n == name {
 				return true
 			}
 		}
 		return false
 	}
-	cfg := &experiments.Config{W: os.Stdout, Quick: *quick}
+	cfg := &experiments.Config{W: w, Quick: quick}
 	ran := 0
 	for _, ex := range experiments.All() {
 		if !selected(ex.Name) {
 			continue
 		}
 		ran++
-		fmt.Printf("==== %s: %s ====\n", ex.Name, ex.Desc)
-		if err := ex.Run(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", ex.Name, err)
-			os.Exit(1)
+		if _, err := fmt.Fprintf(w, "==== %s: %s ====\n", ex.Name, ex.Desc); err != nil {
+			return err
 		}
-		fmt.Println()
+		if err := ex.Run(cfg); err != nil {
+			return fmt.Errorf("%s failed: %v", ex.Name, err)
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %v (have e1..e20)\n", want)
-		os.Exit(2)
+		return fmt.Errorf("%w %v (have e1..e20)", errNoMatch, names)
 	}
+	return nil
 }

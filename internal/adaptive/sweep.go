@@ -2,12 +2,11 @@ package adaptive
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"bfvlsi/internal/faults"
 	"bfvlsi/internal/reliable"
 	"bfvlsi/internal/routing"
+	"bfvlsi/internal/workpool"
 )
 
 // Mode is one recovery strategy under comparison: a static dead-link
@@ -157,7 +156,7 @@ func Sweep(base routing.Params, cfg Config, rcfg reliable.Config, modes []Mode, 
 		pt.Result, pt.Err = routing.Simulate(p)
 		pt.finish(rt, tr)
 	}
-	forEach(len(out), run)
+	workpool.ForEach(len(out), run)
 	return out
 }
 
@@ -255,33 +254,6 @@ func ModuleKillSweep(base routing.Params, cfg Config, rcfg reliable.Config, mode
 			pt.Overhead = float64(pt.Result.Retransmitted) / float64(pt.Result.TotalInjected)
 		}
 	}
-	forEach(len(out), run)
+	workpool.ForEach(len(out), run)
 	return out
-}
-
-// forEach runs f(0..n-1) on a capped worker pool.
-func forEach(n int, f func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }

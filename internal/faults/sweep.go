@@ -2,15 +2,14 @@ package faults
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"bfvlsi/internal/butterfly"
 	"bfvlsi/internal/isn"
 	"bfvlsi/internal/packaging"
 	"bfvlsi/internal/routing"
 	"bfvlsi/internal/thompson"
+	"bfvlsi/internal/workpool"
 )
 
 // Point is one fault level of a link-fault degradation sweep.
@@ -64,7 +63,7 @@ func Sweep(base routing.Params, rates []float64) []Point {
 			pt.Err = fmt.Errorf("faults: sweep rate %g (%d dead links): %w", pt.Rate, pt.DeadLinks, pt.Err)
 		}
 	}
-	forEach(len(rates), run)
+	workpool.ForEach(len(rates), run)
 	return out
 }
 
@@ -197,7 +196,7 @@ func ModuleKillSweep(base routing.Params, schemes []Scheme, kills []int) []Schem
 			pt.Err = fmt.Errorf("faults: scheme %s kills %d: %w", pt.Scheme, pt.Killed, pt.Err)
 		}
 	}
-	forEach(len(out), run)
+	workpool.ForEach(len(out), run)
 	return out
 }
 
@@ -205,31 +204,4 @@ func ModuleKillSweep(base routing.Params, schemes []Scheme, kills []int) []Schem
 // by a seeded permutation - the draw ModuleKillSweep uses per kill count.
 func PickModules(numModules, k int, seed int64) []int {
 	return newRand(seed).Perm(numModules)[:k]
-}
-
-// forEach runs f(0..n-1) on a capped worker pool.
-func forEach(n int, f func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }

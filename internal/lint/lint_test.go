@@ -45,12 +45,12 @@ func TestDetrandCatchesWallClockSeed(t *testing.T) {
 }
 
 // TestHotallocCatchesLoopMake allocates a scratch buffer inside the
-// real VC simulator's //bflint:hotpath link-traversal loop and asserts
+// real simulator's //bflint:hotpath link-traversal loop and asserts
 // hotalloc flags the make.
 func TestHotallocCatchesLoopMake(t *testing.T) {
-	const loop = "//bflint:hotpath\n\t\tfor row := 0; row < rows; row++ {\n"
-	pkg := loadMutated(t, "bfvlsi/internal/routing", "../routing", "vc.go",
-		loop, loop+"\t\t\tscratch := make([]int, n)\n\t\t\t_ = scratch\n")
+	const loop = "//bflint:hotpath\n\tfor row := 0; row < rows; row++ {\n"
+	pkg := loadMutated(t, "bfvlsi/internal/routing", "../routing", "sim.go",
+		loop, loop+"\t\tscratch := make([]int, n)\n\t\t_ = scratch\n")
 	msgs := runMutated(t, pkg, "hotalloc")
 	for _, m := range msgs {
 		if strings.Contains(m, "make inside hot-path loop") {

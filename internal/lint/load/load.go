@@ -27,6 +27,7 @@ import (
 	"path"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -83,22 +84,39 @@ type listedPackage struct {
 	Export     string
 	DepOnly    bool
 	Match      []string
+	Error      *struct{ Err string }
 }
 
 // list runs `go list -deps -export` on the patterns, records the export
 // data of every listed package, and returns the packages the patterns
 // match in the order plain `go list` prints them.
 func (l *Loader) list(patterns ...string) ([]listedPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Match"}, patterns...)
-	cmd := exec.Command("go", args...)
+	listed, err := l.goList(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	var targets []listedPackage
+	for _, lp := range listed {
+		if !lp.DepOnly {
+			targets = append(targets, lp)
+		}
+	}
+	return commandLineOrder(patterns, targets)
+}
+
+// goList runs one `go list -deps -export` over args (flags, then
+// patterns) and records the export data file of every listed package
+// that go list could resolve.
+func (l *Loader) goList(args ...string) ([]listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Match,Error"}, args...)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	dec := json.NewDecoder(bytes.NewReader(out))
-	var targets []listedPackage
+	var listed []listedPackage
 	for {
 		var lp listedPackage
 		if err := dec.Decode(&lp); err == io.EOF {
@@ -106,12 +124,35 @@ func (l *Loader) list(patterns ...string) ([]listedPackage, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("decoding go list output: %v", err)
 		}
-		l.exports[lp.ImportPath] = lp.Export
-		if !lp.DepOnly {
-			targets = append(targets, lp)
+		if lp.Error == nil {
+			l.exports[lp.ImportPath] = lp.Export
+		}
+		listed = append(listed, lp)
+	}
+	return listed, nil
+}
+
+// prefetch lists every import of files that no earlier listing covered
+// in one go list call, so type-checking a package costs one go process
+// rather than one per import. It is best effort: a path go list cannot
+// resolve (an analysistest fixture's own package, or a real typo) is
+// left to the importer, which resolves the fixture or reports the typo.
+func (l *Loader) prefetch(files []*ast.File) {
+	var missing []string
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || path == "unsafe" || path == "C" || slices.Contains(missing, path) {
+				continue
+			}
+			if _, ok := l.exports[path]; !ok {
+				missing = append(missing, path)
+			}
 		}
 	}
-	return commandLineOrder(patterns, targets)
+	if len(missing) > 0 {
+		_, _ = l.goList(append([]string{"-e"}, missing...)...)
+	}
 }
 
 // commandLineOrder puts the matched packages back into the order plain
@@ -207,7 +248,8 @@ func (l *Loader) Check(path, dir string, filenames []string) (*Package, error) {
 	return l.CheckFiles(path, dir, files)
 }
 
-// CheckFiles type-checks already-parsed files as one package. The
+// CheckFiles type-checks already-parsed files as one package, listing
+// the imports no earlier load covered in one go list call first. The
 // importer may be overridden with SetImporter (the analysistest harness
 // layers fixture resolution over the export data importer this way).
 func (l *Loader) CheckFiles(path, dir string, files []*ast.File) (*Package, error) {
@@ -219,6 +261,7 @@ func (l *Loader) CheckFiles(path, dir string, files []*ast.File) (*Package, erro
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
+	l.prefetch(files)
 	conf := types.Config{Importer: l.imp}
 	tpkg, err := conf.Check(path, l.Fset, files, info)
 	if err != nil {

@@ -1,11 +1,13 @@
 package load_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -146,5 +148,54 @@ func TestCheckFilesUnknownImport(t *testing.T) {
 	}
 	if _, err := l.CheckFiles("example/p", "", []*ast.File{f}); err == nil || !strings.Contains(err.Error(), "nosuchpkg/xyz") {
 		t.Errorf("unknown import: err = %v, want one naming nosuchpkg/xyz", err)
+	}
+}
+
+// CheckFiles lists every import no earlier load covered in one go list
+// call, not one per import. A wrapper named go, first on PATH, counts
+// the invocations and hands each to the real go command.
+func TestCheckFilesListsImportsOnce(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("the counting wrapper is a shell script")
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := t.TempDir()
+	calls := filepath.Join(bin, "calls")
+	script := fmt.Sprintf("#!/bin/sh\necho >> %q\nexec %q \"$@\"\n", calls, goBin)
+	if err := os.WriteFile(filepath.Join(bin, "go"), []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("PATH", bin+string(os.PathListSeparator)+os.Getenv("PATH"))
+	t.Setenv("GOPROXY", "off")
+
+	const src = `package p
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"bfvlsi/internal/detrng"
+)
+
+var _ = fmt.Sprint(sort.IntsAreSorted(nil), strings.ToUpper("x"), detrng.New(1).Draws())
+`
+	l := load.New()
+	f, err := parser.ParseFile(l.Fset, "multi.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.CheckFiles("example/p", "", []*ast.File{f}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(calls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 1 {
+		t.Errorf("CheckFiles of a four-import file ran go %d times, want 1", n)
 	}
 }

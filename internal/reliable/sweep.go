@@ -2,11 +2,10 @@ package reliable
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"bfvlsi/internal/faults"
 	"bfvlsi/internal/routing"
+	"bfvlsi/internal/workpool"
 )
 
 // Mode is one recovery strategy under comparison: a dead-link routing
@@ -195,7 +194,7 @@ func sweep(base routing.Params, cfg Config, modes []Mode, rates []float64, outag
 		pt.Result, pt.Err = routing.Simulate(p)
 		pt.finish(tr)
 	}
-	forEach(len(out), run)
+	workpool.ForEach(len(out), run)
 	return out
 }
 
@@ -285,33 +284,6 @@ func ModuleKillSweep(base routing.Params, cfg Config, modes []Mode, schemes []fa
 			pt.Overhead = float64(pt.Result.Retransmitted) / float64(pt.Result.TotalInjected)
 		}
 	}
-	forEach(len(out), run)
+	workpool.ForEach(len(out), run)
 	return out
-}
-
-// forEach runs f(0..n-1) on a capped worker pool.
-func forEach(n int, f func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }

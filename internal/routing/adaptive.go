@@ -102,6 +102,26 @@ func plannedOut(pk packet, row, col int) int {
 	return 0
 }
 
+// hop describes pk at (row, col) for AdaptiveRouter.Choose.
+func (pk *packet) hop(row, col, rows int) Hop {
+	return Hop{
+		Node:    col*rows + row,
+		Want:    plannedOut(*pk, row, col),
+		Dst:     pk.dstCol*rows + pk.dstRow,
+		Detours: pk.detours,
+		Blocked: int(pk.blocked),
+	}
+}
+
+// follow applies a router decision to pk's adaptive state: the blocked
+// marker, and the detour budget a deliberate dimension-shift spends.
+func (pk *packet) follow(d Decision) {
+	pk.blocked = int32(d.Blocked)
+	if d.Deliberate {
+		pk.detours++
+	}
+}
+
 // route picks the output queue for pk at (row, col): the adaptive router
 // when one is attached, else the static fault policy. It mutates pk's
 // adaptive state (blocked marker, detour budget) and returns the
@@ -112,18 +132,8 @@ func route(pk *packet, row, col, rows int, p *Params) (out int, drop, mis, detou
 		out, drop, mis = chooseOut(*pk, row, col, rows, p.Faults, p.Policy)
 		return out, drop, mis, false
 	}
-	want := plannedOut(*pk, row, col)
-	d := p.Adaptive.Choose(Hop{
-		Node:    col*rows + row,
-		Want:    want,
-		Dst:     pk.dstCol*rows + pk.dstRow,
-		Detours: pk.detours,
-		Blocked: pk.blocked,
-	})
-	pk.blocked = d.Blocked
-	if d.Deliberate {
-		pk.detours++
-	}
+	d := p.Adaptive.Choose(pk.hop(row, col, rows))
+	pk.follow(d)
 	return d.Out, false, false, d.Detour
 }
 

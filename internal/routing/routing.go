@@ -12,7 +12,8 @@
 // bit s of its current row disagrees with its destination row, else the
 // straight link; once the row matches it continues straight to the
 // destination column. Every directed link moves at most one packet per
-// cycle; per-link FIFO queues are unbounded.
+// cycle; per-link FIFO queues are unbounded, or bounded with
+// virtual-channel backpressure (Params.BufferLimit, see sim.go).
 package routing
 
 import (
@@ -38,7 +39,7 @@ type Params struct {
 	// BufferLimit caps the per-virtual-channel FIFO of every link
 	// (0 = unbounded single FIFO). Finite buffers switch the simulator to
 	// credit-based backpressure with three dateline virtual channels -
-	// without them the wrapped column ring deadlocks (see vc.go).
+	// without them the wrapped column ring deadlocks (see sim.go).
 	BufferLimit int
 	// Trace, if non-nil, receives one CSV line per measured cycle:
 	// cycle,injected,delivered,backlog (cumulative counts, end-of-cycle
@@ -102,18 +103,22 @@ type Result struct {
 	// InjectionDrops counts injections refused because the entry queue
 	// was full (finite buffers only).
 	InjectionDrops int
-	// Stalls counts link-cycles where a packet could not advance because
-	// its next queue was full (finite buffers) or its link was dead
-	// (fault injection). Measured cycles only.
+	// Stalls counts failed move attempts in measured cycles. A dead
+	// link with packets waiting counts one stall per cycle. With finite
+	// buffers every virtual-channel head refused a credit in its next
+	// queue counts one stall, so a link can count up to three per cycle,
+	// even when a lower virtual channel then moves.
 	Stalls int
 	// Dropped counts packets discarded in flight - TTL expiry, or a
 	// dead planned link under the DropDead policy - over the whole run,
 	// warmup included (like Backlog, so conservation is exact).
 	Dropped int
-	// Unreachable counts packets that were addressed to a node that was
-	// dead at injection time, over the whole run. They never enter the
-	// network. A destination that dies while a packet is in flight is
-	// not detected; such packets wander until their TTL drops them.
+	// Unreachable counts injected and retransmitted copies refused at
+	// their source because the destination could not be reached - dead,
+	// cut off, or condemned by the adaptive router (see the partition
+	// below) - over the whole run. They never enter the network. A
+	// destination that dies while a packet is in flight is not detected;
+	// such packets wander until their TTL drops them.
 	Unreachable int
 	// Misroutes counts fallback hops taken because the planned output
 	// link was dead (Misroute policy), over the whole run.
@@ -173,12 +178,19 @@ func (r *Result) CheckConservation() error {
 	return nil
 }
 
-// arrival is the phase-2 scratch record of the plain simulator: a
-// packet that crossed a link this cycle, waiting to be enqueued (or
-// delivered) at its new node after all moves complete.
+// arrival is the link-traversal scratch record: a packet that crossed
+// a link this cycle, waiting to be delivered or enqueued at its new
+// node after all moves complete. With finite buffers it carries the
+// routing decision made at grant time, so the arrival drain does not
+// decide twice. The narrow fields keep the record at 72 bytes, which
+// the compiler copies inline rather than through runtime.duffcopy.
 type arrival struct {
-	pk       packet
-	row, col int
+	pk        packet
+	row, col  int32
+	out       int8
+	drop, mis bool
+	det       bool
+	delivered bool
 }
 
 type packet struct {
@@ -193,7 +205,11 @@ type packet struct {
 	// fixing (-1 when none) - adaptive-router state (see adaptive.go),
 	// untouched without a router.
 	detours int
-	blocked int
+	blocked int32
+	// vc is the packet's virtual channel (always 0 with unbounded
+	// buffers). blocked and vc are int32 so a packet stays 56 bytes;
+	// both are bounded by the dimension and numVC.
+	vc int32
 }
 
 // Simulate runs the synchronous simulation with uniform random traffic.

@@ -21,6 +21,15 @@ func TestSimulateParamValidation(t *testing.T) {
 	if _, err := Simulate(Params{N: 3, Lambda: 0.1, Cycles: 10, ModuleOf: []int{1}}); err == nil {
 		t.Error("bad ModuleOf accepted")
 	}
+	if _, err := Simulate(Params{N: 3, Lambda: 0.1, Warmup: -50, Cycles: 100, Seed: 1}); err == nil {
+		t.Error("negative warmup accepted")
+	}
+	if _, err := Simulate(Params{N: 3, Lambda: 0.1, Cycles: 10, TTL: -5}); err == nil {
+		t.Error("negative TTL accepted")
+	}
+	if _, err := Simulate(Params{N: 3, Lambda: 0.1, Cycles: 10, BufferLimit: -2}); err == nil {
+		t.Error("negative buffer limit accepted")
+	}
 }
 
 func TestConservationLowLoad(t *testing.T) {

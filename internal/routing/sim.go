@@ -11,9 +11,32 @@ import (
 // configuration in one call; Sim exposes the same machinery one cycle
 // at a time so callers can pause a run at a cycle boundary, export its
 // complete state, and later restore and continue it elsewhere (see
-// internal/snapshot). The engine is shared by both simulator modes:
-// BufferLimit 0 selects the unbounded-FIFO simulator of routing.go,
-// BufferLimit > 0 the virtual-channel/backpressure simulator of vc.go.
+// internal/snapshot). One cycle pipeline serves both buffer modes:
+// BufferLimit 0 gives every directed link one unbounded FIFO,
+// BufferLimit > 0 gives it numVC bounded virtual-channel FIFOs with
+// credit-based backpressure.
+//
+// Virtual channels. A wrapped butterfly with dimension-order routing and
+// finite buffers deadlocks - the column wrap closes a cyclic channel
+// dependency, the textbook motivation for Dally-style virtual channels.
+// The deterministic route traverses fewer than 2n links, so it crosses
+// the column-(n-1) -> column-0 "dateline" at most twice; three virtual
+// channels with the rule "increment VC at the dateline" therefore order
+// the channel dependency graph by (vc, column) and make the network
+// deadlock-free. One packet crosses each physical link per cycle,
+// arbitration scanning from the highest VC down for a movable head.
+// Unbounded buffers cannot deadlock and use a single channel.
+//
+// Two steps of the pipeline differ by mode, both because finite buffers
+// need credits:
+//   - With finite buffers a packet's next hop is decided when its link
+//     grants the move, since the credit check needs the next queue;
+//     with unbounded buffers it is decided on arrival, after every link
+//     of the cycle has reported to the adaptive router.
+//   - With finite buffers the head sweep (TTL expiry, give-up
+//     write-offs) runs before re-planning, so the slots it frees count
+//     for re-planning and for the cycle's credits; with unbounded
+//     buffers it runs after re-planning.
 //
 // The determinism contract extends to checkpointing: a run restored
 // from a SimState is packet-for-packet (and trace-byte) identical to
@@ -21,6 +44,9 @@ import (
 // Adaptive) are restored to their own mid-run state by the caller. All
 // of the engine's randomness flows through one detrng.Source, so the
 // RNG position is just a draw count.
+
+// numVC is the number of virtual channels per link with finite buffers.
+const numVC = 3
 
 // Sim is one in-flight simulation. Create with NewSim or
 // RestoreSim, advance with Step, and collect the result with Finish.
@@ -32,15 +58,17 @@ type Sim struct {
 	n, rows, nodes int
 	total          int
 	cycle          int
+	// vcs is the number of virtual channels per link: numVC with finite
+	// buffers, 1 without.
+	vcs int
 
 	src *detrng.Source
 	rng *rand.Rand
 
-	// queues is the plain mode's FIFO set (nodes*2); vcQueues the VC
-	// mode's (nodes*2*numVC). Exactly one is non-nil.
-	queues   []fifo[packet]
-	vcQueues []fifo[vcPacket]
-	// room is the VC mode's per-cycle credit scratch.
+	// queues[(node*2+out)*vcs + vc] is the FIFO of one virtual channel
+	// of one directed link.
+	queues []fifo[packet]
+	// room is the finite-buffer mode's per-cycle credit scratch.
 	room []int
 
 	res       *Result
@@ -51,8 +79,7 @@ type Sim struct {
 
 	// Per-cycle scratch, hoisted: reset to length zero each cycle, the
 	// backing array reaches its high-water capacity once and is reused.
-	arrivals   []arrival
-	vcArrivals []vcArrival
+	arrivals []arrival
 }
 
 // NewSim validates p and builds a simulation positioned before cycle 0,
@@ -89,6 +116,15 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 	if p.Cycles <= 0 {
 		return nil, fmt.Errorf("routing: need positive measured cycles")
 	}
+	if p.Warmup < 0 {
+		return nil, fmt.Errorf("routing: negative warmup %d", p.Warmup)
+	}
+	if p.TTL < 0 {
+		return nil, fmt.Errorf("routing: negative TTL %d", p.TTL)
+	}
+	if p.BufferLimit < 0 {
+		return nil, fmt.Errorf("routing: negative buffer limit %d", p.BufferLimit)
+	}
 	n := p.N
 	rows := 1 << uint(n)
 	nodes := n * rows
@@ -99,25 +135,25 @@ func buildSim(p Params, pattern Pattern) (*Sim, error) {
 		p: p, pattern: pattern,
 		n: n, rows: rows, nodes: nodes,
 		total: p.Warmup + p.Cycles,
+		vcs:   1,
 		src:   detrng.New(p.Seed),
 		res:   &Result{Nodes: nodes},
 	}
 	s.rng = rand.New(s.src)
+	// 16 slots of head-start capacity per unbounded queue keeps
+	// steady-state growth (and its allocations) out of the measured hot
+	// loop at moderate loads. Credit backpressure bounds every finite
+	// queue at BufferLimit slots, so preallocating exactly that much
+	// means no queue ever grows - the hot loop cannot allocate through a
+	// push.
+	capEach := 16
 	if p.BufferLimit > 0 {
-		// queues[(node*2 + out)*numVC + vc]. Credit backpressure bounds
-		// every VC queue at BufferLimit slots, so preallocating exactly
-		// that much means no queue ever grows - the hot loop cannot
-		// allocate through a push.
-		s.vcQueues = newFifos[vcPacket](nodes*2*numVC, p.BufferLimit)
-		s.room = make([]int, len(s.vcQueues))
-		s.vcArrivals = make([]vcArrival, 0, 2*nodes)
-	} else {
-		// queues[node*2 + 0] straight, +1 cross. 16 slots of head-start
-		// capacity per queue keeps steady-state growth (and its
-		// allocations) out of the measured hot loop at moderate loads.
-		s.queues = newFifos[packet](nodes*2, 16)
-		s.arrivals = make([]arrival, 0, 2*nodes)
+		s.vcs = numVC
+		capEach = p.BufferLimit
+		s.room = make([]int, nodes*2*numVC)
 	}
+	s.queues = newFifos[packet](nodes*2*s.vcs, capEach)
+	s.arrivals = make([]arrival, 0, 2*nodes)
 	return s, nil
 }
 
@@ -137,13 +173,7 @@ func (s *Sim) Step() error {
 	if s.Done() {
 		return fmt.Errorf("routing: step past the end of the %d-cycle run", s.total)
 	}
-	var err error
-	if s.vcQueues != nil {
-		err = s.stepVC()
-	} else {
-		err = s.stepPlain()
-	}
-	if err != nil {
+	if err := s.step(); err != nil {
 		return err
 	}
 	s.cycle++
@@ -160,8 +190,8 @@ func (s *Sim) Finish() (*Result, error) {
 		}
 	}
 	res := *s.res
-	queueLens := s.queueLens()
-	for _, l := range queueLens {
+	for qi := range s.queues {
+		l := s.queues[qi].len()
 		res.Backlog += l
 		if l > res.MaxQueue {
 			res.MaxQueue = l
@@ -176,79 +206,87 @@ func (s *Sim) Finish() (*Result, error) {
 	return &res, nil
 }
 
-// queueLens returns the occupancy of every queue in index order,
-// whichever mode is active.
-func (s *Sim) queueLens() []int {
-	var lens []int
-	if s.vcQueues != nil {
-		lens = make([]int, len(s.vcQueues))
-		for qi := range s.vcQueues {
-			lens[qi] = s.vcQueues[qi].len()
-		}
-		return lens
-	}
-	lens = make([]int, len(s.queues))
-	for qi := range s.queues {
-		lens[qi] = s.queues[qi].len()
-	}
-	return lens
-}
-
 // backlog returns the total number of queued packets.
 func (s *Sim) backlog() int {
 	total := 0
-	for _, l := range s.queueLens() {
-		total += l
+	for qi := range s.queues {
+		total += s.queues[qi].len()
 	}
 	return total
 }
 
-// stepPlain simulates one cycle of the unbounded-FIFO mode. The body is
-// the per-cycle block of the original monolithic loop, verbatim except
-// that run-long state lives on s.
-func (s *Sim) stepPlain() error {
+// qidx returns the queue of virtual channel vc on output out of node.
+func (s *Sim) qidx(node, out, vc int) int { return (node*2+out)*s.vcs + vc }
+
+// full reports whether queue q has no free slot; unbounded queues never
+// fill.
+func (s *Sim) full(q int) bool {
+	return s.p.BufferLimit > 0 && s.queues[q].len() >= s.p.BufferLimit
+}
+
+// step simulates one cycle: hook clocks, injection, retransmission,
+// head sweep and re-planning, link traversal, arrival.
+func (s *Sim) step() error {
 	p := &s.p
-	n, rows, nodes := s.n, s.rows, s.nodes
-	queues := s.queues
-	res := s.res
-	rng := s.rng
-	cycle := s.cycle
-	id := func(row, col int) int { return col*rows + row }
-	measured := cycle >= p.Warmup
+	measured := s.cycle >= p.Warmup
+	finite := p.BufferLimit > 0
 	if p.Faults != nil {
-		p.Faults.BeginCycle(cycle)
+		p.Faults.BeginCycle(s.cycle)
 	}
 	if p.Reliable != nil {
-		p.Reliable.BeginCycle(cycle)
+		p.Reliable.BeginCycle(s.cycle)
 	}
 	if p.Adaptive != nil {
-		p.Adaptive.BeginCycle(cycle)
+		p.Adaptive.BeginCycle(s.cycle)
 		runProbes(p.Adaptive, p.Faults)
 	}
-	// Phase 1: injections.
+	if err := s.inject(measured); err != nil {
+		return err
+	}
+	if p.Reliable != nil {
+		s.retransmit()
+	}
+	if finite {
+		s.sweepHeads()
+	}
+	if p.Adaptive != nil {
+		s.replan()
+	}
+	if !finite {
+		s.sweepHeads()
+	}
+	s.traverse(measured)
+	s.arrive(measured)
+	if p.Trace != nil && measured {
+		if _, err := fmt.Fprintf(p.Trace, "%d,%d,%d,%d\n",
+			s.cycle-p.Warmup, s.res.Injected, s.res.Delivered, s.backlog()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// inject offers every live node one packet with probability Lambda, in
+// node order. A packet whose entry queue is full is refused and counted
+// in InjectionDrops only; every other offer counts as injected.
+func (s *Sim) inject(measured bool) error {
+	p, res := &s.p, s.res
+	n, rows := s.n, s.rows
 	for row := 0; row < rows; row++ {
 		for col := 0; col < n; col++ {
-			if p.Faults != nil && p.Faults.NodeDown(id(row, col)) {
+			src := col*rows + row
+			if p.Faults != nil && p.Faults.NodeDown(src) {
 				continue // dead nodes do not inject
 			}
-			if rng.Float64() >= p.Lambda {
+			if s.rng.Float64() >= p.Lambda {
 				continue
 			}
-			dr, dc, derr := destFor(s.pattern, n, rows, row, col, rng)
-			if derr != nil {
-				return derr
+			dr, dc, err := destFor(s.pattern, n, rows, row, col, s.rng)
+			if err != nil {
+				return err
 			}
-			pk := packet{
-				dstRow:  dr,
-				dstCol:  dc,
-				born:    cycle,
-				blocked: -1,
-			}
-			if measured {
-				res.Injected++
-			}
-			res.TotalInjected++
-			if pk.dstRow == row && pk.dstCol == col {
+			dst := dc*rows + dr
+			if dst == src {
 				// Delivered in place: no copy enters the network, so
 				// no duplicate can ever exist and the payload needs
 				// no reliable-transport state.
@@ -256,203 +294,280 @@ func (s *Sim) stepPlain() error {
 				if measured {
 					res.Delivered++
 				}
-				continue
-			}
-			if p.Adaptive != nil && p.Adaptive.RejectDest(id(dr, dc)) {
-				// The source's own disseminated link-state map calls
-				// the destination unreachable: refuse locally, before
-				// any transport state exists - no retries to burn.
-				res.Unreachable++
-				res.UnreachableDetected++
-				continue
-			}
-			if p.Faults != nil && p.Faults.NodeDown(id(dr, dc)) {
-				if p.Reliable != nil {
-					// The source cannot know the destination is dead:
-					// the payload is registered and its retries burn
-					// budget against the void until it is abandoned.
-					p.Reliable.Register(cycle, id(row, col), id(dr, dc))
+			} else if refused, learned := s.unreachable(dst); refused {
+				if !learned && p.Reliable != nil {
+					// The source cannot see the oracle fault state: the
+					// payload is registered and its retries burn budget
+					// against the void until it is abandoned. A refusal
+					// learned from the router's own map happens before
+					// any transport state exists.
+					p.Reliable.Register(s.cycle, src, dst)
 				}
-				res.Unreachable++
-				res.UnreachableDead++
-				continue
-			}
-			if destCut(p.Faults, n, rows, dr, dc) {
-				// Every link into the destination is dead: the packet
-				// could only wander until its TTL - or, with TTL 0,
-				// forever. Refuse it at injection instead; as with a
-				// dead node the source cannot know, so the payload is
-				// still registered and its retries burn budget.
+			} else {
+				pk := packet{dstRow: dr, dstCol: dc, born: s.cycle, blocked: -1}
 				if p.Reliable != nil {
-					p.Reliable.Register(cycle, id(row, col), id(dr, dc))
+					// Registered before the buffer check: a refused
+					// injection leaves no copy in the network but stays
+					// pending, so the transport's timer recovers it.
+					pk.rid = p.Reliable.Register(s.cycle, src, dst)
 				}
-				res.Unreachable++
-				res.UnreachableCut++
-				continue
-			}
-			if p.Reliable != nil {
-				pk.rid = p.Reliable.Register(cycle, id(row, col), id(dr, dc))
-			}
-			out, drop, mis, det := route(&pk, row, col, rows, p)
-			if drop {
-				res.Dropped++
-				continue
-			}
-			if mis {
-				res.Misroutes++
-			}
-			if det {
-				res.Detours++
-			}
-			q := id(row, col)*2 + out
-			queues[q].push(pk)
-		}
-	}
-	// Phase 1b: retransmissions due this cycle re-enter at their
-	// source, after fresh traffic (fresh injections keep priority).
-	if p.Reliable != nil {
-		for _, c := range p.Reliable.Retransmissions(cycle) {
-			srcRow, srcCol := c.Src%rows, c.Src/rows
-			if p.Faults != nil && p.Faults.NodeDown(c.Src) {
-				p.Reliable.Deferred(c.ID) // dead sources cannot resend
-				continue
-			}
-			p.Reliable.Emitted(c.ID, cycle)
-			res.Retransmitted++
-			if p.Adaptive != nil && p.Adaptive.RejectDest(c.Dst) {
-				res.Unreachable++
-				res.UnreachableDetected++
-				continue
-			}
-			if p.Faults != nil && p.Faults.NodeDown(c.Dst) {
-				res.Unreachable++
-				res.UnreachableDead++
-				continue
-			}
-			if destCut(p.Faults, n, rows, c.Dst%rows, c.Dst/rows) {
-				res.Unreachable++
-				res.UnreachableCut++
-				continue
-			}
-			pk := packet{dstRow: c.Dst % rows, dstCol: c.Dst / rows, born: cycle, rid: c.ID, blocked: -1}
-			out, drop, mis, det := route(&pk, srcRow, srcCol, rows, p)
-			if drop {
-				res.Dropped++
-				continue
-			}
-			if mis {
-				res.Misroutes++
-			}
-			if det {
-				res.Detours++
-			}
-			q := c.Src*2 + out
-			queues[q].push(pk)
-		}
-	}
-	// Phase 1c: re-planning. The adaptive router re-examines the head of
-	// every queue; a head whose link the router has since condemned is
-	// moved to the node's other output queue instead of stalling until
-	// the breaker re-closes. Only heads move: packets behind them follow
-	// on later cycles if the condemnation persists. Choose is
-	// deterministic within a cycle, so a moved head re-examined at its
-	// new queue re-chooses the same output - no ping-pong.
-	if p.Adaptive != nil {
-		for node := 0; node < nodes; node++ {
-			row, col := node%rows, node/rows
-			for out := 0; out < 2; out++ {
-				q := node*2 + out
-				if queues[q].len() == 0 {
+				if !s.enter(pk, src) {
+					if measured {
+						res.InjectionDrops++
+					}
 					continue
 				}
-				pk := queues[q].front()
-				d := p.Adaptive.Choose(Hop{
-					Node:    node,
-					Want:    plannedOut(pk, row, col),
-					Dst:     pk.dstCol*rows + pk.dstRow,
-					Detours: pk.detours,
-					Blocked: pk.blocked,
-				})
+			}
+			res.TotalInjected++
+			if measured {
+				res.Injected++
+			}
+		}
+	}
+	return nil
+}
+
+// retransmit re-enters the copies due this cycle at their sources,
+// after fresh traffic (fresh injections keep priority). A copy whose
+// source is dead or whose entry queue is full is deferred to the next
+// cycle without consuming a retry.
+func (s *Sim) retransmit() {
+	p := &s.p
+	for _, c := range p.Reliable.Retransmissions(s.cycle) {
+		if p.Faults != nil && p.Faults.NodeDown(c.Src) {
+			p.Reliable.Deferred(c.ID) // dead sources cannot resend
+			continue
+		}
+		if refused, _ := s.unreachable(c.Dst); !refused {
+			pk := packet{dstRow: c.Dst % s.rows, dstCol: c.Dst / s.rows, born: s.cycle, rid: c.ID, blocked: -1}
+			if !s.enter(pk, c.Src) {
+				p.Reliable.Deferred(c.ID)
+				continue
+			}
+		}
+		p.Reliable.Emitted(c.ID, s.cycle)
+		s.res.Retransmitted++
+	}
+}
+
+// unreachable refuses a packet addressed to dst that can never arrive,
+// counting it in Unreachable under its cause: the adaptive router's
+// disseminated map condemns dst (learned), dst is dead, or every link
+// into dst is dead. The last two read the oracle fault state; without
+// the check the packet could only wander until its TTL - or, with
+// TTL 0, forever.
+func (s *Sim) unreachable(dst int) (refused, learned bool) {
+	p, res := &s.p, s.res
+	switch {
+	case p.Adaptive != nil && p.Adaptive.RejectDest(dst):
+		res.UnreachableDetected++
+		learned = true
+	case p.Faults != nil && p.Faults.NodeDown(dst):
+		res.UnreachableDead++
+	case destCut(p.Faults, s.n, s.rows, dst%s.rows, dst/s.rows):
+		res.UnreachableCut++
+	default:
+		return false, false
+	}
+	res.Unreachable++
+	return true, learned
+}
+
+// enter routes a packet entering the network at node src and queues it
+// on virtual channel 0. It reports false, changing nothing, when that
+// queue is full. A packet the DropDead policy discards has entered and
+// is counted as Dropped.
+func (s *Sim) enter(pk packet, src int) bool {
+	out, drop, mis, det := route(&pk, src%s.rows, src/s.rows, s.rows, &s.p)
+	if drop {
+		s.res.Dropped++
+		return true
+	}
+	q := s.qidx(src, out, 0)
+	if s.full(q) {
+		return false
+	}
+	s.countDetours(mis, det)
+	s.queues[q].push(pk)
+	return true
+}
+
+// countDetours records a hop that left the planned route.
+func (s *Sim) countDetours(mis, det bool) {
+	if mis {
+		s.res.Misroutes++
+	}
+	if det {
+		s.res.Detours++
+	}
+}
+
+// sweepHeads discards dead queue heads: copies whose payload the source
+// has given up on (GaveUp) and copies older than the TTL (Dropped).
+func (s *Sim) sweepHeads() {
+	p, res := &s.p, s.res
+	if p.TTL == 0 && p.Reliable == nil {
+		return
+	}
+	for qi := range s.queues {
+		q := &s.queues[qi]
+		for q.len() > 0 {
+			head := q.front()
+			if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
+				q.pop()
+				res.GaveUp++
+				continue
+			}
+			if p.TTL > 0 && s.cycle-head.born >= p.TTL {
+				q.pop()
+				res.Dropped++
+				continue
+			}
+			break
+		}
+	}
+}
+
+// replan lets the adaptive router re-examine the head of every queue: a
+// head whose link the router has since condemned moves to the node's
+// other output, on the same virtual channel (the dateline ordering is
+// untouched), if that queue has a free slot. Only heads move: packets
+// behind them follow on later cycles if the condemnation persists.
+// Choose is deterministic within a cycle, so a moved head re-examined
+// at its new queue re-chooses the same output - no ping-pong.
+func (s *Sim) replan() {
+	p, res, rows := &s.p, s.res, s.rows
+	for node := 0; node < s.nodes; node++ {
+		row, col := node%rows, node/rows
+		for out := 0; out < 2; out++ {
+			for vc := 0; vc < s.vcs; vc++ {
+				q := s.qidx(node, out, vc)
+				if s.queues[q].len() == 0 {
+					continue
+				}
+				pk := s.queues[q].front()
+				d := p.Adaptive.Choose(pk.hop(row, col, rows))
 				if d.Out == out {
 					continue
 				}
-				pk.blocked = d.Blocked
-				if d.Deliberate {
-					pk.detours++
+				nq := s.qidx(node, d.Out, vc)
+				if s.full(nq) {
+					continue // no slot: stay and retry next cycle
 				}
+				pk.follow(d)
 				if d.Detour {
 					res.Detours++
 				}
 				res.Reroutes++
-				queues[q].pop()
-				nq := node*2 + d.Out
-				queues[nq].push(pk)
+				s.queues[q].pop()
+				s.queues[nq].push(pk)
 			}
 		}
 	}
-	// Phase 2: every directed link moves one packet; arrivals are
-	// buffered and enqueued after all moves (synchronous step).
+}
+
+// traverse moves at most one packet across every live directed link.
+// Moves are buffered in s.arrivals and enqueued after all links have
+// moved (synchronous step). With finite buffers every move needs a
+// credit in its next queue; credits are computed from start-of-phase
+// occupancy (conservative) and consumed as moves are granted.
+func (s *Sim) traverse(measured bool) {
+	p, res := &s.p, s.res
+	n, rows, vcs := s.n, s.rows, s.vcs
+	queues, room := s.queues, s.room
+	finite := p.BufferLimit > 0
+	if finite {
+		for i := range queues {
+			room[i] = p.BufferLimit - queues[i].len()
+		}
+	}
 	arrivals := s.arrivals[:0]
 	//bflint:hotpath
 	for row := 0; row < rows; row++ {
 		for col := 0; col < n; col++ {
-			node := id(row, col)
-			base := node * 2
+			node := col*rows + row
 			nextCol := (col + 1) % n
 			for out := 0; out < 2; out++ {
-				q := base + out
-				if p.TTL > 0 || p.Reliable != nil {
-					for queues[q].len() > 0 {
-						head := queues[q].front()
-						if p.Reliable != nil && p.Reliable.Abandoned(head.rid) {
-							queues[q].pop()
-							res.GaveUp++
-							continue
-						}
-						if p.TTL > 0 && cycle-head.born >= p.TTL {
-							queues[q].pop()
-							res.Dropped++
-							continue
-						}
-						break
-					}
-				}
-				if queues[q].len() == 0 {
-					continue
-				}
-				if p.Faults != nil && p.Faults.LinkDown(node, out) {
-					if measured {
-						res.Stalls++
-					}
-					if p.Adaptive != nil {
-						p.Adaptive.ObserveFailure(q)
-					}
-					continue
-				}
-				pk := queues[q].front()
+				link := node*2 + out
 				nr := row
 				if out == 1 {
 					nr = row ^ (1 << uint(col))
 				}
-				queues[q].pop()
-				pk.hops++
-				if p.Adaptive != nil {
-					p.Adaptive.ObserveSuccess(q)
+				if p.Faults != nil && p.Faults.LinkDown(node, out) {
+					// Dead link: nothing moves, no credits consumed.
+					for vc := 0; vc < vcs; vc++ {
+						if queues[link*vcs+vc].len() > 0 {
+							if measured {
+								res.Stalls++
+							}
+							if p.Adaptive != nil {
+								p.Adaptive.ObserveFailure(link)
+							}
+							break
+						}
+					}
+					continue
 				}
-				if p.ModuleOf != nil && measured {
-					if p.ModuleOf[id(row, col)] != p.ModuleOf[id(nr, nextCol)] {
+				for vc := vcs - 1; vc >= 0; vc-- {
+					q := link*vcs + vc
+					if queues[q].len() == 0 {
+						continue
+					}
+					a := arrival{pk: queues[q].front(), row: int32(nr), col: int32(nextCol)}
+					a.delivered = a.pk.dstRow == nr && a.pk.dstCol == nextCol
+					if nextCol == 0 && int(a.pk.vc) < vcs-1 {
+						a.pk.vc++ // dateline crossing
+					}
+					if finite && !a.delivered {
+						// The next hop is decided once, here, on the
+						// scratch copy: if the credit check denies the
+						// move the decision is discarded whole (Choose
+						// is a pure read, so the discarded call left no
+						// state behind), and the arrival drain reuses
+						// it instead of deciding again. Packets dropped
+						// on arrival consume no credit.
+						out, drop, mis, det := route(&a.pk, nr, nextCol, rows, p)
+						a.out, a.drop, a.mis, a.det = int8(out), drop, mis, det
+						if !drop {
+							nq := s.qidx(nextCol*rows+nr, int(a.out), int(a.pk.vc))
+							if room[nq] <= 0 {
+								if measured {
+									res.Stalls++
+								}
+								continue
+							}
+							room[nq]--
+						}
+					}
+					queues[q].pop()
+					a.pk.hops++
+					if p.Adaptive != nil {
+						p.Adaptive.ObserveSuccess(link)
+					}
+					if p.ModuleOf != nil && measured && p.ModuleOf[node] != p.ModuleOf[nextCol*rows+nr] {
 						s.crossings++
 					}
+					arrivals = append(arrivals, a)
+					break
 				}
-				arrivals = append(arrivals, arrival{pk: pk, row: nr, col: nextCol})
 			}
 		}
 	}
-	for _, a := range arrivals {
-		if a.pk.dstRow == a.row && a.pk.dstCol == a.col {
+	s.arrivals = arrivals
+}
+
+// arrive drains the cycle's moves: packets at their destination are
+// delivered, the rest are routed (unbounded buffers) or follow their
+// grant-time decision (finite buffers) into their next queue.
+func (s *Sim) arrive(measured bool) {
+	p, res := &s.p, s.res
+	queues, rows := s.queues, s.rows
+	for i := range s.arrivals {
+		a := &s.arrivals[i]
+		if a.delivered {
 			born := a.pk.born
 			if p.Reliable != nil {
-				v, born0 := p.Reliable.Arrive(cycle, a.pk.rid)
+				v, born0 := p.Reliable.Arrive(s.cycle, a.pk.rid)
 				switch v {
 				case DeliverDuplicate:
 					res.DuplicatesDropped++
@@ -469,37 +584,22 @@ func (s *Sim) stepPlain() error {
 			if measured {
 				res.Delivered++
 				if born >= p.Warmup {
-					s.latSum += float64(cycle - born + 1)
+					s.latSum += float64(s.cycle - born + 1)
 					s.hopSum += float64(a.pk.hops)
 					s.latCount++
 				}
 			}
 			continue
 		}
-		out, drop, mis, det := route(&a.pk, a.row, a.col, rows, p)
+		out, drop, mis, det := int(a.out), a.drop, a.mis, a.det
+		if p.BufferLimit == 0 {
+			out, drop, mis, det = route(&a.pk, int(a.row), int(a.col), rows, p)
+		}
 		if drop {
 			res.Dropped++
 			continue
 		}
-		if mis {
-			res.Misroutes++
-		}
-		if det {
-			res.Detours++
-		}
-		q := id(a.row, a.col)*2 + out
-		queues[q].push(a.pk)
+		s.countDetours(mis, det)
+		queues[s.qidx(int(a.col)*rows+int(a.row), out, int(a.pk.vc))].push(a.pk)
 	}
-	s.arrivals = arrivals
-	if p.Trace != nil && measured {
-		backlog := 0
-		for qi := range queues {
-			backlog += queues[qi].len()
-		}
-		if _, err := fmt.Fprintf(p.Trace, "%d,%d,%d,%d\n", //bflint:ignore hotalloc trace output is off on hot runs
-			cycle-p.Warmup, res.Injected, res.Delivered, backlog); err != nil { //bflint:ignore hotalloc trace output is off on hot runs
-			return err
-		}
-	}
-	return nil
 }

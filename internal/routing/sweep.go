@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"runtime"
-	"sync"
-)
+import "bfvlsi/internal/workpool"
 
 // SweepPoint is one load point of a parallel sweep.
 type SweepPoint struct {
@@ -13,38 +10,18 @@ type SweepPoint struct {
 }
 
 // ParallelSweep simulates the given loads concurrently (one goroutine per
-// available CPU, capped) and returns the results in input order. Each run
-// derives its seed deterministically from base.Seed and its index, so the
-// sweep is reproducible regardless of scheduling.
+// available CPU, capped) and returns the results in input order. Each
+// run derives its seed deterministically from base.Seed and its index,
+// so the sweep is reproducible regardless of scheduling.
 func ParallelSweep(base Params, lambdas []float64, pattern Pattern) []SweepPoint {
 	out := make([]SweepPoint, len(lambdas))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(lambdas) {
-		workers = len(lambdas)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int, len(lambdas))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := base
-				p.Lambda = lambdas[i]
-				p.Seed = base.Seed + int64(i)*1_000_003
-				r, err := SimulatePattern(p, pattern)
-				out[i] = SweepPoint{Lambda: lambdas[i], Result: r, Err: err}
-			}
-		}()
-	}
-	for i := range lambdas {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	workpool.ForEach(len(lambdas), func(i int) {
+		p := base
+		p.Lambda = lambdas[i]
+		p.Seed = base.Seed + int64(i)*1_000_003
+		r, err := SimulatePattern(p, pattern)
+		out[i] = SweepPoint{Lambda: lambdas[i], Result: r, Err: err}
+	})
 	return out
 }
 
